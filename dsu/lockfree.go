@@ -2,23 +2,23 @@ package dsu
 
 import (
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exec"
-	"repro/internal/lockfree"
 )
 
 // LockFree is the paper's algorithm run as an actually-concurrent backend:
-// a wait-free-find, lock-free-unite disjoint-set structure over a single
-// atomic parent array (internal/lockfree), with the random linking order
-// baked into the array layout at construction. It implements the full
-// Backend surface, and more: it is the package's ConcurrentBackend — every
-// operation, batches included, is safe from any number of goroutines with
-// no quiescence requirement, and any number of batch calls may overlap on
-// one structure. Where DSU's and Sharded's batches funnel through a
-// serialize-then-parallelize engine pool (one batch owns the structure,
-// workers claim spans), LockFree's batch workers apply edges directly
-// through the point operations — nothing serializes against other batches,
-// streams, or point callers, which is what lets the server run a tenant's
-// in-flight requests truly concurrently instead of queueing them.
+// the same wait-free-find, lock-free-unite core.DSU the flat kind runs,
+// flat-forest fast path included, with its batches driven differently. It
+// implements the full Backend surface, and more: it is the package's
+// ConcurrentBackend — every operation, batches included, is safe from any
+// number of goroutines with no quiescence requirement, and any number of
+// batch calls may overlap on one structure. Where DSU's and Sharded's
+// batches funnel through a serialize-then-parallelize engine pool (one
+// batch owns the structure, workers claim spans), LockFree's batch workers
+// apply edges directly through the point operations (engine.Direct) —
+// nothing serializes against other batches, streams, or point callers,
+// which is what lets the server run a tenant's in-flight requests truly
+// concurrently instead of queueing them.
 //
 // The find family is restricted to what the concurrent algorithm defines:
 // NoCompaction, OneTrySplitting, TwoTrySplitting (the default), or
@@ -32,7 +32,7 @@ import (
 // set. Quiescent reads (Sets, CanonicalLabels, Components, Snapshot) keep
 // their usual contract: exact once no Unites are in flight.
 type LockFree struct {
-	l *lockfree.DSU
+	l *core.DSU
 	// x is the unified execution seam all batch, stream, and filter paths
 	// route through (and, with FindAuto, the adaptive policy's home).
 	x *exec.Executor
@@ -52,12 +52,14 @@ func NewLockFree(n int, opts ...Option) *LockFree {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	l := lockfree.New(n, core.Config{
-		Find:             coreFind(cfg.find),
-		EarlyTermination: cfg.early,
-		Seed:             cfg.seed,
-	})
-	d := &LockFree{l: l, x: exec.NewExecutor(l, cfg.find == FindAuto)}
+	if cfg.early {
+		panic("dsu: early termination is not supported by the lock-free backend")
+	}
+	if cfg.find == Halving || cfg.find == Compression {
+		panic("dsu: the lock-free backend runs the splitting-family finds only")
+	}
+	l := core.New(n, core.Config{Find: coreFind(cfg.find), Seed: cfg.seed})
+	d := &LockFree{l: l, x: exec.NewExecutor(engine.Direct{D: l}, cfg.find == FindAuto)}
 	d.uni = &Universe{b: d}
 	return d
 }
@@ -144,11 +146,10 @@ func (d *LockFree) CanonicalLabels() []uint32 { return d.l.CanonicalLabels() }
 // their minima. Call at quiescence.
 func (d *LockFree) Components() [][]uint32 { return componentsFromLabels(d.l.CanonicalLabels()) }
 
-// Snapshot returns a copy of the parent forest translated to element
-// space (roots satisfy parent[x] == x, the flat structure's convention).
-// Call at quiescence.
+// Snapshot returns a copy of the parent forest (roots satisfy
+// parent[x] == x). Call at quiescence.
 func (d *LockFree) Snapshot() []uint32 { return d.l.Snapshot() }
 
-// ID returns x's position in the random linking order (fixed at
-// NewLockFree) — here also x's physical slot in the parent array.
+// ID returns x's position in the random linking order, fixed at
+// NewLockFree: core's id permutation, as on the flat kind.
 func (d *LockFree) ID(x uint32) uint32 { return d.l.ID(x) }

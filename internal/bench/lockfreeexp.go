@@ -18,7 +18,7 @@ func bestLockFreeUniteAll(n int, seed uint64, edges []engine.Edge, cfg engine.Co
 	var best engine.Result
 	best.Elapsed = time.Duration(1<<62 - 1)
 	for rep := 0; rep < 3; rep++ {
-		d := lockfree.New(n, core.Config{Seed: seed})
+		d := engine.Direct{D: lockfree.New(n, core.Config{Seed: seed})}
 		if res := d.UniteAll(edges, cfg); res.Elapsed < best.Elapsed {
 			best = res
 		}
@@ -84,9 +84,10 @@ func runE23(cfg Config) error {
 	}
 	workerSweep := []int{1, 2, 4, 8}
 
-	// Table 1: single-batch throughput, kind × workers. The w=1 lock-free
-	// column is a contention-free baseline — one worker never loses a CAS —
-	// so it isolates the slot-indirection cost against the flat engine.
+	// Table 1: single-batch throughput, kind × workers. The lock-free kind
+	// runs the flat kind's core.DSU through the direct runner, so the w=1
+	// column — contention-free, one worker never loses a CAS — isolates
+	// the direct runner's cost against the engine pool.
 	for _, shape := range shapes {
 		fmt.Fprintf(cfg.Out, "### %s batch (n=%d, m=%d)\n\n", shape.name, n, len(shape.edges))
 		cols := []string{"kind"}
@@ -152,7 +153,7 @@ func runE23(cfg Config) error {
 	tb = stats.NewTable("k batches × w=2", "Mop/s", "retries/op", "merged Σ")
 	edges := shapes[0].edges
 	for _, k := range []int{1, 2, 4, 8} {
-		d := lockfree.New(n, core.Config{Seed: cfg.Seed + 5})
+		d := engine.Direct{D: lockfree.New(n, core.Config{Seed: cfg.Seed + 5})}
 		chunk := (len(edges) + k - 1) / k
 		results := make([]engine.Result, k)
 		var wg sync.WaitGroup
@@ -182,7 +183,7 @@ func runE23(cfg Config) error {
 	fmt.Fprintln(cfg.Out)
 
 	fmt.Fprintf(cfg.Out, "Shape check: w=1 and p=1 rows are contention-free baselines (zero retries by\n")
-	fmt.Fprintf(cfg.Out, "construction) — read them as the slot-indirection overhead vs flat, not as\n")
+	fmt.Fprintf(cfg.Out, "construction) — read them as the direct runner's overhead vs the pool, not as\n")
 	fmt.Fprintf(cfg.Out, "concurrency results. Point-op Mop/s should grow with p while retries/op stays\n")
 	fmt.Fprintf(cfg.Out, "small (the randomized linking order spreads contention; Jayanti–Tarjan's\n")
 	fmt.Fprintf(cfg.Out, "expected-work bound assumes exactly this). In the overlap table merged Σ is\n")

@@ -27,6 +27,11 @@
 // (parent reads, CAS attempts/failures, loop iterations) into a caller-owned
 // Stats value, so experiments can measure total work in the units of the
 // paper's theorems without slowing the uncounted fast path.
+//
+// With the naive and splitting finds, SameSet and Unite take a flat-forest
+// fast path: a round whose endpoints both sit at depth ≤ 1 — nearly every
+// round once the forest is compacted — gets its roots from the very loads
+// the general finds would issue, without calling them (see roots).
 package core
 
 import (
@@ -139,6 +144,9 @@ type DSU struct {
 	parent []atomic.Uint32
 	id     []uint32 // random total order; immutable after New
 	cfg    Config
+	// fast enables the flat-forest fast path of Unite and SameSet (see
+	// roots), which the naive and splitting finds have.
+	fast bool
 }
 
 // New returns a DSU over n singleton elements. It panics if n is negative,
@@ -167,11 +175,18 @@ func New(n int, cfg Config) *DSU {
 		parent: make([]atomic.Uint32, n),
 		id:     randutil.NewXoshiro256(cfg.Seed).Perm(n),
 		cfg:    cfg,
+		fast:   hasFastPath(cfg.Find),
 	}
 	for i := range d.parent {
 		d.parent[i].Store(uint32(i))
 	}
 	return d
+}
+
+// hasFastPath reports whether find variant f has the flat-forest fast
+// path (see roots). The early-termination loops never reach it.
+func hasFastPath(f Find) bool {
+	return f == FindNaive || f == FindOneTry || f == FindTwoTry
 }
 
 // N returns the number of elements.
@@ -331,6 +346,56 @@ func (d *DSU) findCompress(x uint32, st *Stats) uint32 {
 	return root
 }
 
+// roots runs the two finds of a SameSet or Unite round, u's then v's,
+// with the flat-forest fast path: where the structure has one, it first
+// issues both finds' first iterations — parent[u], parent[parent[u]],
+// parent[v], parent[parent[v]], in that order — and when each pair
+// agrees, both endpoints sit at depth ≤ 1 and the agreeing values are
+// the roots, found without calling find. A naive, one-try or two-try find
+// at depth ≤ 1 issues exactly those loads and stops (the naive one on a
+// root stops after the first; its re-read cannot change the root it
+// found), so the round's loads, CASes and counted Stats are the general
+// round's, in its order, and Lemmas 3.1 and 3.2 apply unchanged.
+// Otherwise the round runs the general finds from the same (u, v); the
+// fast path's loads are then wasted reads, left uncounted.
+func (d *DSU) roots(u, v uint32, st *Stats) (uint32, uint32) {
+	if d.fast {
+		pu := d.parent[u].Load()
+		gu := d.parent[pu].Load()
+		pv := d.parent[v].Load()
+		gv := d.parent[pv].Load()
+		if pu == gu && pv == gv {
+			if st != nil {
+				d.countFlat(st, u, pu, v, pv)
+			}
+			return pu, pv
+		}
+	}
+	return d.find(u, st), d.find(v, st)
+}
+
+// countFlat tallies a fast-path round's two finds (see roots) as the
+// general finds would have: a splitting find that stops in its first
+// iteration takes one step and two reads; a naive find takes one step
+// and one read per node it visits, one at a root and two at its child.
+func (d *DSU) countFlat(st *Stats, x, px, y, py uint32) {
+	st.Finds += 2
+	if d.cfg.Find != FindNaive {
+		st.FindSteps += 2
+		st.Reads += 4
+		return
+	}
+	k := int64(2)
+	if px != x {
+		k++
+	}
+	if py != y {
+		k++
+	}
+	st.FindSteps += k
+	st.Reads += k
+}
+
 // SameSet reports whether x and y are currently in the same set. The answer
 // is linearizable: it held at the operation's linearization point
 // (Lemma 3.2).
@@ -339,9 +404,13 @@ func (d *DSU) SameSet(x, y uint32) bool { return d.sameSet(x, y, nil) }
 // SameSetCounted is SameSet with work accounting into st.
 func (d *DSU) SameSetCounted(x, y uint32, st *Stats) bool { return d.sameSet(x, y, st) }
 
+// SameSetDirect is SameSetCounted under the name exec.ConcurrentOps asks
+// for: the query as the direct batch runner's workers apply it.
+func (d *DSU) SameSetDirect(x, y uint32, st *Stats) bool { return d.sameSet(x, y, st) }
+
 func (d *DSU) sameSet(x, y uint32, st *Stats) bool {
 	if st != nil {
-		defer func() { st.Ops++ }()
+		st.Ops++
 	}
 	if d.cfg.EarlyTermination {
 		return d.sameSetEarly(x, y, st)
@@ -352,8 +421,7 @@ func (d *DSU) sameSet(x, y uint32, st *Stats) bool {
 		if st != nil {
 			st.Rounds++
 		}
-		u = d.find(u, st)
-		v = d.find(v, st)
+		u, v = d.roots(u, v, st)
 		if u == v {
 			return true
 		}
@@ -435,28 +503,42 @@ func (d *DSU) earlyStep(u uint32, st *Stats) uint32 {
 // Unite merges the sets containing x and y if they differ. It reports
 // whether this call performed the link (false when the sets were already
 // equal at the linearization point). Linearizable per Lemma 3.2.
-func (d *DSU) Unite(x, y uint32) bool { return d.unite(x, y, nil) }
+func (d *DSU) Unite(x, y uint32) bool {
+	merged, _ := d.unite(x, y, nil)
+	return merged
+}
 
 // UniteCounted is Unite with work accounting into st.
-func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool { return d.unite(x, y, st) }
+func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool {
+	merged, _ := d.unite(x, y, st)
+	return merged
+}
 
-func (d *DSU) unite(x, y uint32, st *Stats) bool {
+// UniteDirect is UniteCounted as exec.ConcurrentOps asks for it: it also
+// returns how many of the call's link CASes failed — each one lost to a
+// concurrent link and sent the call back to re-find its roots — which
+// the direct batch runner sums into Result.CASRetries.
+func (d *DSU) UniteDirect(x, y uint32, st *Stats) (merged bool, retries int64) {
+	return d.unite(x, y, st)
+}
+
+func (d *DSU) unite(x, y uint32, st *Stats) (bool, int64) {
 	if st != nil {
-		defer func() { st.Ops++ }()
+		st.Ops++
 	}
 	if d.cfg.EarlyTermination {
 		return d.uniteEarly(x, y, st)
 	}
 	// Algorithm 3.
+	var retries int64
 	u, v := x, y
 	for {
 		if st != nil {
 			st.Rounds++
 		}
-		u = d.find(u, st)
-		v = d.find(v, st)
+		u, v = d.roots(u, v, st)
 		if u == v {
-			return false
+			return false, retries
 		}
 		lo, hi := u, v
 		if d.less(hi, lo) {
@@ -469,8 +551,11 @@ func (d *DSU) unite(x, y uint32, st *Stats) bool {
 			if st != nil {
 				st.Links++
 			}
-			return true
+			return true, retries
 		}
+		// Lost to a concurrent link: lock-free, not wait-free — the CAS
+		// fails only because another link landed. Re-find from the roots.
+		retries++
 		if st != nil {
 			st.CASFailures++
 		}
@@ -479,14 +564,15 @@ func (d *DSU) unite(x, y uint32, st *Stats) bool {
 
 // uniteEarly is Algorithm 7, adapted to the configured find strategy as in
 // sameSetEarly.
-func (d *DSU) uniteEarly(x, y uint32, st *Stats) bool {
+func (d *DSU) uniteEarly(x, y uint32, st *Stats) (bool, int64) {
+	var retries int64
 	u, v := x, y
 	for {
 		if st != nil {
 			st.Rounds++
 		}
 		if u == v {
-			return false
+			return false, retries
 		}
 		if d.less(v, u) {
 			u, v = v, u
@@ -498,8 +584,9 @@ func (d *DSU) uniteEarly(x, y uint32, st *Stats) bool {
 			if st != nil {
 				st.Links++
 			}
-			return true
+			return true, retries
 		}
+		retries++
 		if st != nil {
 			st.CASFailures++
 		}
@@ -534,6 +621,7 @@ func (d *DSU) WithFind(f Find) *DSU {
 	}
 	v := &DSU{parent: d.parent, id: d.id, cfg: d.cfg}
 	v.cfg.Find = f
+	v.fast = hasFastPath(f)
 	return v
 }
 

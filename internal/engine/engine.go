@@ -127,6 +127,56 @@ func (f Flat) Seed() uint64 { return f.D.Config().Seed }
 // CoreConfig returns the structure's variant configuration.
 func (f Flat) CoreConfig() core.Config { return f.D.Config() }
 
+// Direct adapts one core.DSU to the exec.Backend seam through the direct
+// concurrent runner (exec.UniteAllDirect) instead of the pool: workers
+// apply their static chunk of the batch straight through the point
+// operations, with no span claims and no barrier against other batches.
+// Any number of Direct batches, point operations and streams may overlap
+// on one structure; the summed Merged across overlapping calls is exact,
+// since each successful link is counted by the one call whose CAS landed
+// and the number of links a partition needs is schedule-independent. It
+// is the lock-free kind's backend. Filters and Config.Find are honored as
+// on Flat.
+type Direct struct {
+	D *core.DSU
+}
+
+var _ exec.Backend = Direct{}
+
+// UniteAll applies the batch through the direct runner after the
+// Config's filter passes.
+func (f Direct) UniteAll(edges []Edge, cfg Config) Result {
+	t := Flat(f).target(cfg.Find)
+	res := filtered(edges, cfg,
+		func(edges []Edge, cfg Config) ([]Edge, Result) { return exec.ScreenConnectedDirect(t, edges, cfg) },
+		func(edges []Edge) Result { return exec.UniteAllDirect(t, edges, cfg) })
+	res.Find = t.Config().Find
+	return res
+}
+
+// SameSetAll answers the batch through the direct runner.
+func (f Direct) SameSetAll(pairs []Edge, cfg Config) ([]bool, Result) {
+	t := Flat(f).target(cfg.Find)
+	out, res := exec.SameSetAllDirect(t, pairs, cfg)
+	res.Find = t.Config().Find
+	return out, res
+}
+
+// ScreenConnected drops already-connected edges through the direct
+// runner's query loop.
+func (f Direct) ScreenConnected(edges []Edge, cfg Config) ([]Edge, Result) {
+	t := Flat(f).target(cfg.Find)
+	kept, res := exec.ScreenConnectedDirect(t, edges, cfg)
+	res.Find = t.Config().Find
+	return kept, res
+}
+
+// Seed returns the structure seed.
+func (f Direct) Seed() uint64 { return f.D.Config().Seed }
+
+// CoreConfig returns the structure's variant configuration.
+func (f Direct) CoreConfig() core.Config { return f.D.Config() }
+
 // UniteAll drives every edge of the batch through t.Unite and returns the
 // run's Result. Edges may appear in any order and multiplicity; the final
 // partition is the same as a sequential left-to-right pass (unions are
@@ -135,6 +185,15 @@ func (f Flat) CoreConfig() core.Config { return f.D.Config() }
 // loop without reaching the Target: they can never merge, so they cost one
 // comparison instead of two finds.
 func UniteAll(t Target, edges []Edge, cfg Config) Result {
+	return filtered(edges, cfg,
+		func(edges []Edge, cfg Config) ([]Edge, Result) { return ScreenConnected(t, edges, cfg) },
+		func(edges []Edge) Result { return run(t, edges, cfg, nil) })
+}
+
+// filtered runs a mutation batch through the Config's filter passes —
+// Prefilter, then the connected screen — and then through unite, folding
+// the passes' accounting into the Result. Flat and Direct share it.
+func filtered(edges []Edge, cfg Config, screen func([]Edge, Config) ([]Edge, Result), unite func([]Edge) Result) Result {
 	var filtered int
 	var filterElapsed time.Duration
 	var filterStats core.Stats
@@ -147,13 +206,13 @@ func UniteAll(t Target, edges []Edge, cfg Config) Result {
 	}
 	if cfg.ConnectedFilter {
 		start := time.Now()
-		kept, sres := ScreenConnected(t, edges, cfg)
+		kept, sres := screen(edges, cfg)
 		filtered += len(edges) - len(kept)
 		filterElapsed += time.Since(start)
 		filterStats.Add(sres.Stats())
 		edges = kept
 	}
-	res := run(t, edges, cfg, nil)
+	res := unite(edges)
 	res.Filtered = filtered
 	res.FilterElapsed = filterElapsed
 	res.FilterStats = filterStats

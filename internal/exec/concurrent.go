@@ -11,13 +11,13 @@ import (
 
 // ConcurrentOps is the second capability of the execution seam: the
 // direct point-operation surface of a backend whose mutations are safe
-// from any number of goroutines with no quiescence requirement
-// (internal/lockfree). Where the engine's pool drives an opaque Target
-// through span claims and work stealing — machinery that earns its keep
-// when one batch at a time owns the structure — a ConcurrentOps backend
-// needs none of it: the direct runners below split the batch into static
-// contiguous chunks and have workers apply edges straight through the
-// point operations. Nothing serializes against other batches, point
+// from any number of goroutines with no quiescence requirement — core.DSU,
+// which engine.Direct drives for the lock-free kind. Where the engine's
+// pool drives an opaque Target through span claims and work stealing —
+// machinery that earns its keep when one batch at a time owns the
+// structure — a ConcurrentOps backend needs none of it: the direct
+// runners below split the batch into static contiguous chunks and have
+// workers apply edges straight through the point operations. Nothing serializes against other batches, point
 // callers, or streams on the same structure; overlap is the contract,
 // not a hazard.
 type ConcurrentOps interface {
@@ -75,8 +75,11 @@ func ScreenConnectedDirect(t ConcurrentOps, edges []Edge, cfg Config) ([]Edge, R
 // runDirect is the shared direct loop: Unite mode when out is nil,
 // SameSet mode otherwise. Workers take contiguous chunks fixed up front —
 // point operations on a lock-free structure are uniform enough that the
-// engine's guided self-scheduling would only add claim traffic — and each
-// fills its own Stats and retry tally.
+// engine's guided self-scheduling would only add claim traffic. Each
+// keeps its Stats and tallies in goroutine-local variables and stores
+// them once at the end: adjacent slots of a shared slice sit on one
+// cache line, and writing them per edge would make the workers'
+// tallies false-share it.
 func runDirect(t ConcurrentOps, edges []Edge, cfg Config, out []bool) Result {
 	p := cfg.Workers
 	if p <= 0 {
@@ -101,7 +104,8 @@ func runDirect(t ConcurrentOps, edges []Edge, cfg Config, out []bool) Result {
 		wg.Add(1)
 		go func(w int, part []Edge, out []bool) {
 			defer wg.Done()
-			st := &res.PerWorker[w]
+			var st core.Stats
+			var m, r int64
 			if out == nil {
 				for _, e := range part {
 					if e.X == e.Y {
@@ -110,11 +114,11 @@ func runDirect(t ConcurrentOps, edges []Edge, cfg Config, out []bool) Result {
 						st.Ops++
 						continue
 					}
-					m, r := t.UniteDirect(e.X, e.Y, st)
-					if m {
-						merged[w]++
+					ok, rr := t.UniteDirect(e.X, e.Y, &st)
+					if ok {
+						m++
 					}
-					retries[w] += r
+					r += rr
 				}
 			} else {
 				for i, e := range part {
@@ -123,9 +127,10 @@ func runDirect(t ConcurrentOps, edges []Edge, cfg Config, out []bool) Result {
 						st.Ops++
 						continue
 					}
-					out[i] = t.SameSetDirect(e.X, e.Y, st)
+					out[i] = t.SameSetDirect(e.X, e.Y, &st)
 				}
 			}
+			res.PerWorker[w], merged[w], retries[w] = st, m, r
 		}(w, edges[lo:hi], sliceOrNil(out, lo, hi))
 	}
 	wg.Wait()

@@ -1,430 +1,27 @@
-// Package lockfree is the concurrent backend proper: the paper's
-// randomized CAS-linking algorithm, refined per Jayanti & Tarjan,
-// "Concurrent Disjoint Set Union" (Distributed Computing 2021; PAPERS.md),
-// implemented so that the whole mutation surface — point operations and
-// overlapping batch calls alike — is safe from any number of goroutines
-// with no quiescence requirement and no serialization anywhere. Finds are
-// wait-free (a find completes in a bounded number of its own steps: path
-// lengths only shrink under splitting), unites are lock-free (a failed
-// root-link CAS means some other link succeeded — system-wide progress),
-// which is exactly the paper's guarantee and what lets internal/exec drive
-// batches over this structure with workers applying edges directly,
-// instead of funneling them through a serialize-then-parallelize barrier.
-//
-// # One array, linking order baked into the layout
-//
-// internal/core keeps two arrays — atomic parents plus an immutable random
-// id permutation — and every link decision loads from both. This package
-// bakes the permutation into the layout instead: elements are relabelled
-// into "slot" space at construction (slot = the element's position in the
-// random linking order, the same ID vocabulary core exposes), and the one
-// []atomic.Uint32 parent array is indexed by slot. Inside slot space the
-// linking order IS numeric order — "u precedes v" is `u < v` on raw slot
-// numbers — so the find loop and the link CAS touch exactly one array:
-// no id loads on the path, half the cache traffic of the two-array walk.
-// The immutable slot/elem permutations are consulted only at an
-// operation's boundary (element → slot on entry, root slot → element on
-// exit), never inside the retry loops.
-//
-// Invariant (the paper's Lemma 3.1 in slot space): parent pointers are
-// non-decreasing — parent[s] ≥ s always, a root is parent[s] == s, and
-// every CAS moves a pointer strictly upward to a current union-forest
-// ancestor. All quiescent reads (Sets, Snapshot, CanonicalLabels) and the
-// linearizability arguments carry over from core unchanged.
+// Package lockfree builds the lock-free structure kind: a core.DSU
+// restricted to what the concurrent batch path defines. It holds no
+// algorithm of its own — core.DSU already is the paper's wait-free
+// algorithm, and its UniteDirect and SameSetDirect make it an
+// exec.ConcurrentOps, which engine.Direct drives as an exec.Backend. The
+// package stays as the constructor the benchmark harness and E23 import.
 package lockfree
 
-import (
-	"sync/atomic"
-	"time"
+import "repro/internal/core"
 
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/randutil"
-)
-
-// DSU is the lock-free concurrent disjoint-set structure over elements
-// 0..n−1. Every method is safe from any number of goroutines, mutations
-// included — there is no batch barrier, no mutation lock, and no
-// quiescence requirement anywhere on the operation surface. The zero
-// value is not usable; call New.
-type DSU struct {
-	// parent is the single hot array, indexed by slot (position in the
-	// random linking order). Links CAS a root slot to point at a larger
-	// slot; splitting CASes swing path pointers upward.
-	parent []atomic.Uint32
-	// slot and elem are the immutable random relabelling and its inverse:
-	// slot[x] is element x's position in the linking order (the ID
-	// vocabulary), elem[s] the element living at slot s.
-	slot, elem []uint32
-	// tries is the per-node splitting attempt count resolved from
-	// cfg.Find: 0 for FindNaive, 1 for FindOneTry, 2 for FindTwoTry.
-	tries int
-	cfg   core.Config
-}
-
-// New returns a lock-free DSU over n singleton elements. The config's
-// Find must be one of the splitting family — FindNaive, FindOneTry, or
-// FindTwoTry (zero defaults to FindTwoTry) — and EarlyTermination is not
-// supported: the Section 6 interleavings optimize the two-find
-// sequential pattern this backend's direct batch path does not use. It
-// panics on out-of-range n or an unsupported config, exactly as core.New
-// does.
-func New(n int, cfg core.Config) *DSU {
-	if n < 0 || int64(n) > int64(1)<<31-1 {
-		panic("lockfree: element count out of range")
-	}
-	if cfg.Find == 0 {
-		cfg.Find = core.FindTwoTry
-	}
+// New returns a core.DSU over n singleton elements for the lock-free
+// kind. The config's Find must be one of the splitting family —
+// FindNaive, FindOneTry, or FindTwoTry (zero defaults to FindTwoTry) —
+// and EarlyTermination is not supported: the Section 6 interleavings
+// optimize the two-find sequential pattern the direct batch path does not
+// use. It panics on out-of-range n or an unsupported config.
+func New(n int, cfg core.Config) *core.DSU {
 	if cfg.EarlyTermination {
 		panic("lockfree: early termination is not supported by the lock-free backend")
 	}
-	d := &DSU{
-		parent: make([]atomic.Uint32, n),
-		slot:   make([]uint32, n),
-		elem:   randutil.NewXoshiro256(cfg.Seed).Perm(n),
-		tries:  triesOf(cfg.Find),
-		cfg:    cfg,
-	}
-	for s, x := range d.elem {
-		d.slot[x] = uint32(s)
-		d.parent[s].Store(uint32(s))
-	}
-	return d
-}
-
-// triesOf maps a find variant to its splitting attempt count, panicking
-// on the variants the lock-free backend does not define (halving and
-// compression belong to core's ablation surface).
-func triesOf(f core.Find) int {
-	switch f {
-	case core.FindNaive:
-		return 0
-	case core.FindOneTry:
-		return 1
-	case core.FindTwoTry:
-		return 2
+	switch cfg.Find {
+	case 0, core.FindNaive, core.FindOneTry, core.FindTwoTry:
 	default:
 		panic("lockfree: find strategy must be naive, one-try, or two-try splitting")
 	}
-}
-
-// N returns the number of elements.
-func (d *DSU) N() int { return len(d.parent) }
-
-// Config returns the variant configuration.
-func (d *DSU) Config() core.Config { return d.cfg }
-
-// ID returns x's position in the random linking order — its slot. Same
-// vocabulary as core.DSU.ID, fixed at construction.
-func (d *DSU) ID(x uint32) uint32 { return d.slot[x] }
-
-// WithFind returns a view running find variant f over the same forest:
-// shared parent array and relabelling, so operations through the view are
-// operations on d. Safe to interleave with any concurrent use — every
-// splitting variant maintains the same upward-pointer invariant — which
-// is what lets the adaptive policy downgrade query batches per batch. It
-// panics on variants outside the splitting family, as New would.
-func (d *DSU) WithFind(f core.Find) *DSU {
-	if f == d.cfg.Find {
-		return d
-	}
-	v := &DSU{parent: d.parent, slot: d.slot, elem: d.elem, tries: triesOf(f), cfg: d.cfg}
-	v.cfg.Find = f
-	return v
-}
-
-// findSlot walks u to its current root in slot space, splitting with the
-// configured number of tries. Wait-free; st may be nil.
-func (d *DSU) findSlot(u uint32, st *core.Stats) uint32 {
-	if st != nil {
-		st.Finds++
-	}
-	if d.tries == 0 {
-		// Naive walk (Algorithm 1): follow pointers, no compaction.
-		var steps int64
-		for {
-			steps++
-			p := d.parent[u].Load()
-			if p == u {
-				if st != nil {
-					st.FindSteps += steps
-					st.Reads += steps
-				}
-				return u
-			}
-			u = p
-		}
-	}
-	// Splitting (Algorithms 4/5): try `tries` times to swing each visited
-	// node's parent to its grandparent, then advance. The CAS is relaxed —
-	// its result changes only the accounting, never the control flow.
-	var steps, reads, cas, casFail int64
-	for {
-		steps++
-		var v uint32
-		for t := 0; t < d.tries; t++ {
-			v = d.parent[u].Load()
-			w := d.parent[v].Load()
-			reads += 2
-			if v == w {
-				if st != nil {
-					st.FindSteps += steps
-					st.Reads += reads
-					st.CASAttempts += cas
-					st.CASFailures += casFail
-					st.Rewrites += cas - casFail
-				}
-				return v
-			}
-			cas++
-			if !d.parent[u].CompareAndSwap(v, w) {
-				casFail++
-			}
-		}
-		u = v
-	}
-}
-
-// Find returns the root (canonical representative at the linearization
-// point) of the set containing x.
-func (d *DSU) Find(x uint32) uint32 { return d.elem[d.findSlot(d.slot[x], nil)] }
-
-// FindCounted is Find with work accounting into st.
-func (d *DSU) FindCounted(x uint32, st *core.Stats) uint32 {
-	return d.elem[d.findSlot(d.slot[x], st)]
-}
-
-// sameSet is Algorithm 2 in slot space: two finds, answer true on a
-// common root, false when the first root is still a root (it was a root
-// while distinct from the other — the linearization point), retry
-// otherwise.
-func (d *DSU) sameSet(x, y uint32, st *core.Stats) bool {
-	if st != nil {
-		defer func() { st.Ops++ }()
-	}
-	u, v := d.slot[x], d.slot[y]
-	for {
-		if st != nil {
-			st.Rounds++
-		}
-		u = d.findSlot(u, st)
-		v = d.findSlot(v, st)
-		if u == v {
-			return true
-		}
-		if st != nil {
-			st.Reads++
-		}
-		if d.parent[u].Load() == u {
-			return false
-		}
-	}
-}
-
-// SameSet reports whether x and y are in the same set (linearizable).
-func (d *DSU) SameSet(x, y uint32) bool { return d.sameSet(x, y, nil) }
-
-// SameSetCounted is SameSet with work accounting into st.
-func (d *DSU) SameSetCounted(x, y uint32, st *core.Stats) bool { return d.sameSet(x, y, st) }
-
-// uniteRetries is Algorithm 3 in slot space: find both roots, link the
-// smaller slot under the larger with one CAS, and on failure retry from
-// the moved roots. It returns whether this call performed a merge and
-// how many times the root-link CAS had to retry — the contention metric
-// the concurrent batch path aggregates into exec.Result.CASRetries.
-func (d *DSU) uniteRetries(x, y uint32, st *core.Stats) (merged bool, retries int64) {
-	if st != nil {
-		defer func() { st.Ops++ }()
-	}
-	u, v := d.slot[x], d.slot[y]
-	for {
-		if st != nil {
-			st.Rounds++
-		}
-		u = d.findSlot(u, st)
-		v = d.findSlot(v, st)
-		if u == v {
-			return false, retries
-		}
-		lo, hi := u, v
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if st != nil {
-			st.CASAttempts++
-		}
-		if d.parent[lo].CompareAndSwap(lo, hi) {
-			if st != nil {
-				st.Links++
-			}
-			return true, retries
-		}
-		// Lost the race: someone else linked lo (or compacted past it).
-		// The loop re-finds from the current positions — lock-free, not
-		// wait-free: our CAS can only fail because another link landed.
-		retries++
-		if st != nil {
-			st.CASFailures++
-		}
-	}
-}
-
-// Unite merges the sets containing x and y, reporting whether this call
-// performed the merge. Linearizable per the paper's Lemma 3.2.
-func (d *DSU) Unite(x, y uint32) bool {
-	merged, _ := d.uniteRetries(x, y, nil)
-	return merged
-}
-
-// UniteCounted is Unite with work accounting into st.
-func (d *DSU) UniteCounted(x, y uint32, st *core.Stats) bool {
-	merged, _ := d.uniteRetries(x, y, st)
-	return merged
-}
-
-// UniteDirect and SameSetDirect are the exec.ConcurrentOps surface: the
-// point operations as batch workers apply them directly, with the link
-// retry count surfaced for the batch record.
-func (d *DSU) UniteDirect(x, y uint32, st *core.Stats) (merged bool, retries int64) {
-	return d.uniteRetries(x, y, st)
-}
-
-func (d *DSU) SameSetDirect(x, y uint32, st *core.Stats) bool { return d.sameSet(x, y, st) }
-
-// view resolves a per-batch find-variant override into the target the
-// batch actually runs against (mirrors engine.Flat.target).
-func (d *DSU) view(f core.Find) *DSU {
-	if f == 0 {
-		return d
-	}
-	return d.WithFind(f)
-}
-
-// UniteAll implements exec.Backend over the direct concurrent runner:
-// workers apply the batch's edges straight through uniteRetries — no span
-// claims, no steal protocol, no barrier against other batches. Any number
-// of UniteAll calls (and point operations, and streams) may overlap on
-// one structure; the final partition is the union of everything applied,
-// and the summed Merged across all overlapping calls is exact (every
-// successful link is counted exactly once, and the number of links needed
-// to reach a partition is schedule-independent). Prefilter and
-// ConnectedFilter are honored as on the engine path.
-func (d *DSU) UniteAll(edges []exec.Edge, cfg exec.Config) exec.Result {
-	t := d.view(cfg.Find)
-	var filtered int
-	var filterElapsed time.Duration
-	var filterStats core.Stats
-	if cfg.Prefilter {
-		start := time.Now()
-		kept := exec.Dedup(edges)
-		filtered += len(edges) - len(kept)
-		filterElapsed += time.Since(start)
-		edges = kept
-	}
-	if cfg.ConnectedFilter {
-		start := time.Now()
-		kept, sres := exec.ScreenConnectedDirect(t, edges, cfg)
-		filtered += len(edges) - len(kept)
-		filterElapsed += time.Since(start)
-		filterStats.Add(sres.Stats())
-		edges = kept
-	}
-	res := exec.UniteAllDirect(t, edges, cfg)
-	res.Find = t.cfg.Find
-	res.Filtered = filtered
-	res.FilterElapsed = filterElapsed
-	res.FilterStats = filterStats
-	res.FilterStats.Filtered = int64(filtered)
-	res.Elapsed += filterElapsed
-	return res
-}
-
-// SameSetAll implements exec.Backend: answers through the direct runner,
-// honoring the find override (the adaptive policy's downgrade path).
-func (d *DSU) SameSetAll(pairs []exec.Edge, cfg exec.Config) ([]bool, exec.Result) {
-	t := d.view(cfg.Find)
-	out, res := exec.SameSetAllDirect(t, pairs, cfg)
-	res.Find = t.cfg.Find
-	return out, res
-}
-
-// ScreenConnected implements exec.Backend: drops already-connected edges
-// through the direct query loop. Sound under full concurrency — a true
-// SameSet answer is definite.
-func (d *DSU) ScreenConnected(edges []exec.Edge, cfg exec.Config) ([]exec.Edge, exec.Result) {
-	t := d.view(cfg.Find)
-	kept, res := exec.ScreenConnectedDirect(t, edges, cfg)
-	res.Find = t.cfg.Find
-	return kept, res
-}
-
-// Seed returns the structure seed (exec.Backend).
-func (d *DSU) Seed() uint64 { return d.cfg.Seed }
-
-// CoreConfig returns the variant configuration (exec.Backend).
-func (d *DSU) CoreConfig() core.Config { return d.cfg }
-
-// Parent returns slot s's current parent slot: a raw snapshot for forest
-// analysis and tests, individually meaningful at quiescence.
-func (d *DSU) Parent(s uint32) uint32 { return d.parent[s].Load() }
-
-// Snapshot returns the parent forest translated back to element space:
-// entry x is the element whose slot is x's parent slot, so roots satisfy
-// parent[x] == x, the flat structure's convention. Taken at quiescence it
-// is exact; mid-flight it is per-word atomic, like core's.
-func (d *DSU) Snapshot() []uint32 {
-	out := make([]uint32, len(d.parent))
-	for x := range out {
-		out[x] = d.elem[d.parent[d.slot[x]].Load()]
-	}
-	return out
-}
-
-// Sets counts the current number of sets (root slots). Quiescent-state
-// use only.
-func (d *DSU) Sets() int {
-	count := 0
-	for s := range d.parent {
-		if d.parent[s].Load() == uint32(s) {
-			count++
-		}
-	}
-	return count
-}
-
-// CanonicalLabels returns the min-element labelling of the current
-// partition. Quiescent-state use only. The root chase runs over a slot-
-// space snapshot, where parent pointers are strictly increasing off
-// roots — each walk is bounded by the slot count by construction.
-func (d *DSU) CanonicalLabels() []uint32 {
-	n := len(d.parent)
-	parent := make([]uint32, n)
-	for s := range parent {
-		parent[s] = d.parent[s].Load()
-	}
-	rootOf := make([]uint32, n)
-	for s := n - 1; s >= 0; s-- {
-		// Walking slots high→low, parent[s] > s is already resolved.
-		if p := parent[s]; p == uint32(s) {
-			rootOf[s] = uint32(s)
-		} else {
-			rootOf[s] = rootOf[p]
-		}
-	}
-	minOf := make([]uint32, n)
-	for i := range minOf {
-		minOf[i] = ^uint32(0)
-	}
-	for x := 0; x < n; x++ {
-		r := rootOf[d.slot[x]]
-		if uint32(x) < minOf[r] {
-			minOf[r] = uint32(x)
-		}
-	}
-	labels := make([]uint32, n)
-	for x := range labels {
-		labels[x] = minOf[rootOf[d.slot[x]]]
-	}
-	return labels
+	return core.New(n, cfg)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/randutil"
 	"repro/internal/seqdsu"
@@ -23,37 +24,9 @@ func oracle(n int, ops []workload.Op) *seqdsu.DSU {
 	return ref
 }
 
-// TestSlotSpacePermutation pins the layout: slot and elem are inverse
-// permutations, ID speaks the slot vocabulary, and the parent array starts
-// all-singleton in slot space.
-func TestSlotSpacePermutation(t *testing.T) {
-	const n = 257
-	d := New(n, core.Config{Seed: 11})
-	seen := make([]bool, n)
-	for x := uint32(0); x < n; x++ {
-		s := d.ID(x)
-		if s >= n {
-			t.Fatalf("ID(%d) = %d out of range", x, s)
-		}
-		if seen[s] {
-			t.Fatalf("slot %d assigned twice", s)
-		}
-		seen[s] = true
-		if d.elem[s] != x {
-			t.Fatalf("elem[slot[%d]] = %d, want %d", x, d.elem[s], x)
-		}
-		if d.Parent(s) != s {
-			t.Fatalf("fresh parent[%d] = %d, want self", s, d.Parent(s))
-		}
-	}
-	if d.Sets() != n {
-		t.Fatalf("fresh Sets() = %d, want %d", d.Sets(), n)
-	}
-}
-
 // TestUpwardPointerInvariant drives a random workload and checks the
-// paper's Lemma 3.1 in slot space after every phase: parent[s] ≥ s for
-// every slot, under every find variant.
+// paper's Lemma 3.1 afterwards: every parent pointer moves up the random
+// linking order, ID(parent[x]) ≥ ID(x), under every find variant.
 func TestUpwardPointerInvariant(t *testing.T) {
 	const n = 512
 	for _, f := range []core.Find{core.FindNaive, core.FindOneTry, core.FindTwoTry} {
@@ -63,9 +36,9 @@ func TestUpwardPointerInvariant(t *testing.T) {
 				d.Unite(op.X, op.Y)
 				d.Find(op.X)
 			}
-			for s := uint32(0); s < n; s++ {
-				if p := d.Parent(s); p < s {
-					t.Fatalf("parent[%d] = %d points down the linking order", s, p)
+			for x := uint32(0); x < n; x++ {
+				if p := d.Parent(x); d.ID(p) < d.ID(x) {
+					t.Fatalf("parent[%d] = %d points down the linking order", x, p)
 				}
 			}
 		})
@@ -112,35 +85,6 @@ func TestMatchesOracleSequential(t *testing.T) {
 	}
 }
 
-// TestWithFindSharesForest checks variant views operate on one forest:
-// unites through one view are visible through another, and the
-// construction rejects non-splitting variants.
-func TestWithFindSharesForest(t *testing.T) {
-	d := New(64, core.Config{Seed: 2})
-	naive := d.WithFind(core.FindNaive)
-	naive.Unite(1, 2)
-	if !d.SameSet(1, 2) {
-		t.Fatal("unite through a view invisible to the base")
-	}
-	d.Unite(2, 3)
-	if !naive.SameSet(1, 3) {
-		t.Fatal("unite through the base invisible to a view")
-	}
-	if d.WithFind(d.Config().Find) != d {
-		t.Fatal("same-variant view should be the receiver")
-	}
-	for _, f := range []core.Find{core.FindHalving, core.FindCompress} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WithFind(%v) should panic", f)
-				}
-			}()
-			d.WithFind(f)
-		}()
-	}
-}
-
 // TestConstructorContract pins New's panics: out-of-range n, early
 // termination, and the non-splitting find variants.
 func TestConstructorContract(t *testing.T) {
@@ -149,7 +93,7 @@ func TestConstructorContract(t *testing.T) {
 		fn   func()
 	}{
 		{"negative n", func() { New(-1, core.Config{}) }},
-		{"n over 2^31-1", func() { New(1 << 31, core.Config{}) }},
+		{"n over 2^31-1", func() { New(1<<31, core.Config{}) }},
 		{"early termination", func() { New(4, core.Config{EarlyTermination: true}) }},
 		{"halving", func() { New(4, core.Config{Find: core.FindHalving}) }},
 		{"compression", func() { New(4, core.Config{Find: core.FindCompress}) }},
@@ -198,7 +142,7 @@ func TestOverlappingBatchesExactMerges(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = d.UniteAll(all[i], exec.Config{Workers: 2})
+			results[i] = engine.Direct{D: d}.UniteAll(all[i], exec.Config{Workers: 2})
 		}(i)
 	}
 	// Point operations race the batches; their merges must be counted by
@@ -232,8 +176,9 @@ func TestOverlappingBatchesExactMerges(t *testing.T) {
 	}
 }
 
-// TestBatchFiltersAndQueries covers the exec.Backend surface: prefilter
-// and connected-filter neutrality, query batches, and the screen.
+// TestBatchFiltersAndQueries covers the lock-free kind's exec.Backend
+// surface, engine.Direct: prefilter and connected-filter neutrality,
+// query batches, and the screen.
 func TestBatchFiltersAndQueries(t *testing.T) {
 	const n = 800
 	ops := workload.ZipfMixed(n, 4*n, 1.0, 1.2, 9)
@@ -241,9 +186,9 @@ func TestBatchFiltersAndQueries(t *testing.T) {
 	for i, op := range ops {
 		edges[i] = exec.Edge{X: op.X, Y: op.Y}
 	}
-	raw := New(n, core.Config{Seed: 4})
+	raw := engine.Direct{D: New(n, core.Config{Seed: 4})}
 	rawRes := raw.UniteAll(edges, exec.Config{})
-	filt := New(n, core.Config{Seed: 4})
+	filt := engine.Direct{D: New(n, core.Config{Seed: 4})}
 	filtRes := filt.UniteAll(edges, exec.Config{Prefilter: true, ConnectedFilter: true})
 	if rawRes.Merged != filtRes.Merged {
 		t.Fatalf("merged %d raw vs %d filtered", rawRes.Merged, filtRes.Merged)
@@ -251,8 +196,8 @@ func TestBatchFiltersAndQueries(t *testing.T) {
 	if filtRes.Filtered == 0 {
 		t.Fatal("Zipf batch should report filtered edges")
 	}
-	wantLabels := raw.CanonicalLabels()
-	gotLabels := filt.CanonicalLabels()
+	wantLabels := raw.D.CanonicalLabels()
+	gotLabels := filt.D.CanonicalLabels()
 	for x := range gotLabels {
 		if gotLabels[x] != wantLabels[x] {
 			t.Fatalf("label[%d] = %d, want %d", x, gotLabels[x], wantLabels[x])
@@ -261,13 +206,13 @@ func TestBatchFiltersAndQueries(t *testing.T) {
 
 	ans, _ := raw.SameSetAll(edges, exec.Config{Workers: 3})
 	for i, e := range edges {
-		if want := raw.SameSet(e.X, e.Y); ans[i] != want {
+		if want := raw.D.SameSet(e.X, e.Y); ans[i] != want {
 			t.Fatalf("query %d (%d,%d) = %v, point %v", i, e.X, e.Y, ans[i], want)
 		}
 	}
 	kept, _ := raw.ScreenConnected(edges, exec.Config{})
 	for _, e := range kept {
-		if raw.SameSet(e.X, e.Y) {
+		if raw.D.SameSet(e.X, e.Y) {
 			t.Fatalf("screen kept connected edge (%d,%d)", e.X, e.Y)
 		}
 	}

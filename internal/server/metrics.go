@@ -3,7 +3,9 @@ package server
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -89,12 +91,39 @@ func encodingOf(r *http.Request) string {
 	return f.String()
 }
 
-// statusRecorder captures the response status for the latency label.
-// Unwrap keeps http.ResponseController working through it — the stream
-// handler's Flush and EnableFullDuplex resolve via the unwrap chain.
+// statusRecorder captures the response status for the latency label and
+// records the request's latency sample, once. Unwrap keeps
+// http.ResponseController working through it — the stream handler's
+// Flush and EnableFullDuplex resolve via the unwrap chain.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code     int
+	m        *serverMetrics
+	r        *http.Request
+	start    time.Time
+	observed bool
+}
+
+// observe records the request into the latency histogram unless it
+// already has been. ServeHTTP calls it when the handler returns; a
+// handler whose last frame tells the client it is done (the stream's end
+// envelope) calls it before writing that frame, so a client that scrapes
+// after reading it finds the sample.
+func (s *statusRecorder) observe() {
+	if s.observed {
+		return
+	}
+	s.observed = true
+	s.m.latency.With(endpointOf(s.r.URL.Path), encodingOf(s.r), strconv.Itoa(s.status())).
+		Observe(time.Since(s.start).Seconds())
+}
+
+// observeRequest is statusRecorder.observe for a handler's writer; it is
+// a no-op on an uninstrumented server, whose writer is not a recorder.
+func observeRequest(w http.ResponseWriter) {
+	if sr, ok := w.(*statusRecorder); ok {
+		sr.observe()
+	}
 }
 
 func (s *statusRecorder) WriteHeader(code int) {

@@ -301,11 +301,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.route(w, r)
 		return
 	}
-	start := time.Now()
-	sr := &statusRecorder{ResponseWriter: w}
+	sr := &statusRecorder{ResponseWriter: w, m: s.m, r: r, start: time.Now()}
 	s.route(sr, r)
-	s.m.latency.With(endpointOf(r.URL.Path), encodingOf(r), strconv.Itoa(sr.status())).
-		Observe(time.Since(start).Seconds())
+	sr.observe()
 }
 
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
@@ -603,8 +601,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		return
 	}
 	if s.m != nil {
+		// Decremented before the end envelope, not on return: a client
+		// that has read it may scrape at once.
 		s.m.streams.Inc()
-		defer s.m.streams.Dec()
 	}
 
 	// Connection-level stream tuning from query parameters, clamped to the
@@ -705,45 +704,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	// Decode on a side goroutine so the ingest loop can select against the
 	// stream context: a push-only connection otherwise blocks in a body
 	// read and would never observe Stop — the handler must end promptly to
-	// deliver the loss-reporting end envelope inside the drain budget. The
-	// goroutine parks in sending position when ctx dies first and exits
-	// once the handler's return tears the connection down.
-	type decoded struct {
-		env *wire.Envelope
-		err error
-	}
-	frames := make(chan decoded)
-	// The pooled decoder's envelopes live in its scratch, so the goroutine
-	// must not decode the next frame while the ingest loop still reads the
-	// previous one: the ack channel hands the scratch back after each
-	// frame is fully processed (PushLinked copies edges before returning,
-	// so "processed" is synchronous).
-	ack := make(chan struct{}, 1)
-	go func() {
-		dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
-		defer wire.ReleaseDecoder(dec)
-		for {
-			env, err := dec.Decode()
-			if err == nil {
-				s.frameIn()
-			} else if err != io.EOF {
-				s.decodeError()
-			}
-			select {
-			case frames <- decoded{env, err}:
-				if err != nil {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case <-ack:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	// deliver the loss-reporting end envelope inside the drain budget.
+	// PushLinked copies edges before returning, so a frame is processed
+	// by the time the loop acks it.
+	fr := s.readFrames(ctx, r, format)
 	var abortErr error // the cancellation that cut ingestion short, if any
 ingest:
 	for {
@@ -753,7 +717,7 @@ ingest:
 			abortErr = ctx.Err()
 			write(&wire.Envelope{Kind: wire.KindError, Error: "stream aborted: " + abortErr.Error()})
 			break ingest
-		case d = <-frames:
+		case d = <-fr.frames:
 		}
 		env, err := d.env, d.err
 		switch {
@@ -786,8 +750,9 @@ ingest:
 			write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: fmt.Sprintf("stream connections take unite/flush envelopes, got %v", env.Kind)})
 			break ingest
 		}
-		ack <- struct{}{} // done with env; the decoder may reuse its scratch
+		fr.ack <- struct{}{} // done with env; the decoder may reuse its scratch
 	}
+	fr.join(rc)
 
 	closeErr := st.Close()
 	if closeErr == nil {
@@ -806,6 +771,10 @@ ingest:
 	if closeErr != nil {
 		end.Error = closeErr.Error()
 	}
+	if s.m != nil {
+		s.m.streams.Dec()
+	}
+	observeRequest(w)
 	write(end)
 	s.log.Info("stream done", "tenant", u.Name(), "batches", st.Batches(),
 		"edges", st.Edges(), "merged", st.Merged(), "failed", st.Failed(), "err", closeErr)
@@ -863,41 +832,9 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Unive
 		}
 	}
 
-	// Decode on a side goroutine with the same scratch-handoff protocol as
-	// handleStream: the serve loop acks each envelope before the decoder
-	// reuses its scratch, and selects against ctx so shutdown cuts through
-	// a blocked body read.
-	type decoded struct {
-		env *wire.Envelope
-		err error
-	}
-	frames := make(chan decoded)
-	ack := make(chan struct{}, 1)
-	go func() {
-		dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
-		defer wire.ReleaseDecoder(dec)
-		for {
-			env, err := dec.Decode()
-			if err == nil {
-				s.frameIn()
-			} else if err != io.EOF {
-				s.decodeError()
-			}
-			select {
-			case frames <- decoded{env, err}:
-				if err != nil {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case <-ack:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	// Decode on a side goroutine, as handleStream does, so shutdown cuts
+	// through a blocked body read.
+	fr := s.readFrames(ctx, r, format)
 
 	rec := u.TraceRecorder() // nil (all no-ops) on an untraced tenant
 	sem := s.sem(u.Name())
@@ -915,7 +852,7 @@ serve:
 			renv = wire.Envelope{Kind: wire.KindError, Error: "pipe aborted: " + ctx.Err().Error()}
 			answer(&renv)
 			break serve
-		case d = <-frames:
+		case d = <-fr.frames:
 		}
 		switch {
 		case d.err == io.EOF:
@@ -969,7 +906,7 @@ serve:
 			// answer the error and keep the pipe.
 			renv = wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: execErr.Error()}
 			answer(&renv)
-			ack <- struct{}{}
+			fr.ack <- struct{}{}
 			continue
 		}
 		re := tr.Start(tracespan.StageReplyEncode, tracespan.Root)
@@ -985,7 +922,89 @@ serve:
 		}
 		rec.Finish(tr)
 		served++
-		ack <- struct{}{} // done with env; the decoder may reuse its scratch
+		fr.ack <- struct{}{} // done with env; the decoder may reuse its scratch
 	}
+	fr.join(rc)
 	s.log.Info("pipe done", "tenant", u.Name(), "served", served)
+}
+
+// decoded is one result of a connection's decoder goroutine.
+type decoded struct {
+	env *wire.Envelope
+	err error
+}
+
+// frameReader is the decoder goroutine of a full-duplex connection
+// (/stream, /pipe): it decodes the request body frame by frame into
+// frames, so the serving loop can select against its context instead of
+// blocking in a body read. The pooled decoder's envelopes live in its
+// scratch, so it decodes the next frame only once the loop has sent on
+// ack, after it has fully processed the last one. It ends after
+// delivering an error (io.EOF included) or when its context ends.
+type frameReader struct {
+	frames chan decoded
+	ack    chan struct{}
+	parent context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
+}
+
+// readFrames starts the decoder goroutine for r's body under a child of
+// ctx. The handler must call join before it returns.
+func (s *Server) readFrames(ctx context.Context, r *http.Request, format wire.Format) *frameReader {
+	fr := &frameReader{
+		frames: make(chan decoded),
+		ack:    make(chan struct{}, 1),
+		parent: ctx,
+		done:   make(chan struct{}),
+	}
+	ctx, fr.cancel = context.WithCancel(ctx)
+	go func() {
+		defer close(fr.done)
+		dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
+		defer wire.ReleaseDecoder(dec)
+		for {
+			env, err := dec.Decode()
+			if err == nil {
+				s.frameIn()
+			} else if err != io.EOF {
+				s.decodeError()
+			}
+			select {
+			case fr.frames <- decoded{env, err}:
+				if err != nil {
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+			select {
+			case <-fr.ack:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return fr
+}
+
+// join stops the decoder goroutine and waits for it to exit. A handler
+// that returned while the goroutine was still inside a body read would
+// race net/http, which reads the connection for the next request once
+// the handler is done ("invalid concurrent Body.Read call").
+//
+// The goroutine can be inside a read only when the serving loop ended on
+// its context: every other exit follows a frame the loop received, after
+// which the goroutine either has returned or waits on ack. So only an
+// aborted connection gets an expired read deadline, to cut short a read
+// still blocked on a live client; the deadline also cancels the request
+// context, which is already done. Where the transport has no deadline to
+// set (HTTP/2), the read ends with the stream instead, and join does not
+// wait for it.
+func (fr *frameReader) join(rc *http.ResponseController) {
+	fr.cancel()
+	if fr.parent.Err() != nil && rc.SetReadDeadline(time.Now()) != nil {
+		return
+	}
+	<-fr.done
 }
